@@ -13,8 +13,7 @@ routes, mirroring Appendix A.
 from __future__ import annotations
 
 from repro.hosts.host import Host
-from repro.netstack.addressing import IPv4Address
-from repro.obs.lineage import flight_recorder
+from repro.obs.runtime import ambient
 from repro.sim.errors import ConfigurationError
 
 __all__ = ["Parprouted"]
@@ -67,18 +66,10 @@ class Parprouted:
         if existing is not None and existing.network.prefix_len == 32:
             return  # already pinned
         self.host.routing.add_host(sender, iface.name)
-        rec = flight_recorder()
+        rec = ambient.recorder
         if rec is not None and rec.current() is not None:
             rec.hop("parprouted", "learn", host=self.host.name,
                     t=self.host.sim.now, station=str(sender),
                     iface=iface.name)
         self.host.sim.trace.emit("parprouted.learn", self.host.name,
                                  station=str(sender), iface=iface.name)
-
-    def add_station_route(self, ip: "IPv4Address | str", iface: str) -> None:
-        """Pin a station's /32 route (``route add -host IP dev IFACE``).
-
-        The real daemon learns these dynamically from ARP traffic; the
-        paper's Appendix A sets them statically, which we mirror.
-        """
-        self.host.routing.add_host(IPv4Address(ip), iface)

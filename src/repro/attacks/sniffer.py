@@ -121,7 +121,3 @@ class MonitorSniffer:
             if segment.dst_port == dst_port and segment.payload:
                 chunks.setdefault(segment.seq, segment.payload)
         return b"".join(chunks[k] for k in sorted(chunks))
-
-    def observed_stations(self) -> set[MacAddress]:
-        """Every transmitter overheard — the MAC harvest that defeats filters."""
-        return self.capture.transmitters()

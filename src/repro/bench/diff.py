@@ -14,7 +14,11 @@ baseline or the current run:
 
 "Worse" respects ``higher_is_better``; the relative worsening is
 ``(baseline - current) / |baseline|`` for higher-is-better metrics and
-``(current - baseline) / |baseline|`` otherwise.  A zero baseline
+``(current - baseline) / |baseline|`` otherwise.  For a positive
+baseline a regression must also cross the band edge in the value
+domain (``current > baseline * (1 + tolerance)``, mirrored for
+higher-is-better), so drift strictly inside the band is never flagged
+even where the rounded ratio lands just above the tolerance.  A zero baseline
 makes any worsening infinite (flagged) and any non-worsening clean —
 there is no direction in which a degenerate baseline can mask a real
 regression.  Non-finite current values are always regressions: a
@@ -170,9 +174,15 @@ def diff_metrics(area: str, baseline_metrics: Dict[str, dict],
                                       higher_is_better=hib))
             continue
         worsening = _worsening(b, c, hib)
+        beyond = worsening > tolerance
+        if beyond and b > 0:
+            # Also require the scaled-domain test: rounding is monotone, so
+            # a value strictly inside the band never rounds across its
+            # edge, whereas (c - b) / b can (0.0004 -> 2.7e-16 > 2.2e-16).
+            beyond = c < b * (1 - tolerance) if hib else c > b * (1 + tolerance)
         if worsening == 0.0 and c != b:
             kind = "improvement"
-        elif worsening > tolerance:
+        elif beyond:
             kind = "regression"
         else:
             kind = "within"

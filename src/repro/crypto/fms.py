@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from repro.obs.runtime import active_profiler
+from repro.obs.runtime import ambient
 
 __all__ = ["FmsSample", "FmsAttack", "is_weak_iv", "weak_iv_for"]
 
@@ -138,7 +138,7 @@ class FmsAttack:
         """
         if len(known_prefix) != a:
             raise ValueError("known_prefix must contain exactly the first a bytes")
-        prof = active_profiler()
+        prof = ambient.profiler
         if prof is None:
             return self._votes_for_byte(a, known_prefix, use_numpy)
         with prof.span("crypto.fms"):

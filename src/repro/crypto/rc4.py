@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.obs.runtime import active_profiler
+from repro.obs.runtime import ambient
 
 __all__ = ["RC4", "rc4_keystream", "ksa", "prga"]
 
@@ -81,7 +81,7 @@ class RC4:
 
     def crypt(self, data: bytes) -> bytes:
         """XOR ``data`` with the next keystream bytes (encrypt == decrypt)."""
-        prof = active_profiler()
+        prof = ambient.profiler
         if prof is None:
             return self._crypt(data)
         with prof.span("crypto.rc4"):

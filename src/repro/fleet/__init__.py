@@ -9,9 +9,9 @@ determinism contract intact:
 * a trial's result depends only on its seed, never on worker assignment
   or completion order;
 * per-worker partials are reduced **in seed order** through the
-  mergeable stats layer (:mod:`repro.sim.stats`,
-  :class:`~repro.core.campaign.TrialStats`), so parallel aggregates are
-  bit-for-bit identical to serial ones;
+  mergeable :class:`~repro.core.campaign.TrialStats` and
+  :class:`~repro.obs.metrics.MetricsRegistry`, so parallel aggregates
+  are bit-for-bit identical to serial ones;
 * per-trial faults (exceptions, timeouts, dead workers) are retried and
   then *recorded*, never allowed to abort the sweep.
 
@@ -20,7 +20,7 @@ in :mod:`repro.core.campaign`, and ``python -m repro sweep`` on the
 command line.  See DESIGN.md §7 for the architecture sketch.
 """
 
-from repro.fleet.channel import fleet_publish, publishing
+from repro.fleet.channel import publishing
 from repro.fleet.errors import (CampaignError, FleetError, TrialFailure,
                                 FAIL_CRASH, FAIL_ERROR, FAIL_TIMEOUT)
 from repro.fleet.reduce import campaign_stats, merge_all
@@ -37,7 +37,6 @@ __all__ = [
     "FAIL_ERROR",
     "FAIL_TIMEOUT",
     "campaign_stats",
-    "fleet_publish",
     "merge_all",
     "publishing",
     "run_campaign",

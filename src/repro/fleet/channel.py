@@ -9,11 +9,21 @@ merged view.
 
 The channel is ambient, mirroring :func:`repro.obs.runtime.collecting`:
 the scheduler installs a publisher around each trial (a direct callback
-in serial mode, a result-queue writer inside worker processes) and the
-trial calls :func:`fleet_publish` whenever it has something to say.
-With no publisher installed the call is a no-op costing one global read
-— so a trial that publishes runs bit-identically under ``run_campaign``
-with or without ``on_snapshot``, and under a bare direct call.
+in serial mode, a result-queue writer inside worker processes) in the
+``publisher`` slot of :data:`repro.obs.runtime.ambient`, and the trial
+calls it whenever it has something to say::
+
+    publish = ambient.publisher
+    if publish is not None:
+        publish(registry.snapshot())
+
+A payload must be picklable (it may cross a process boundary) and
+should be small and cumulative — the parent keeps only the latest
+payload per trial, so a lost or coalesced snapshot never loses
+information, merely staleness.  With no publisher installed nothing is
+built or sent — so a trial that publishes runs bit-identically under
+``run_campaign`` with or without ``on_snapshot``, and under a bare
+direct call.
 
 Publishing is strictly observational: payloads flow worker→parent only,
 nothing ever comes back, so the simulation cannot be perturbed by
@@ -24,37 +34,19 @@ whether anyone is listening (the exporter-on/off determinism golden in
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
-__all__ = ["fleet_publish", "publishing"]
+from repro.obs.runtime import installed
 
-_publisher: Optional[Callable[[dict], None]] = None
+__all__ = ["publishing"]
 
 
 @contextmanager
 def publishing(publish: Callable[[dict], None]) -> Iterator[None]:
-    """Install ``publish`` as the ambient snapshot publisher for the block.
+    """Install ``publish`` in ``ambient.publisher`` for the block.
 
     Contexts nest (innermost wins) and restore on exit even when the
     body raises — including the worker's SIGALRM trial timeout.
     """
-    global _publisher
-    previous = _publisher
-    _publisher = publish
-    try:
+    with installed(publisher=publish):
         yield
-    finally:
-        _publisher = previous
-
-
-def fleet_publish(payload: dict) -> None:
-    """Ship ``payload`` to the campaign parent, if anyone is listening.
-
-    ``payload`` must be picklable (it may cross a process boundary) and
-    should be small and cumulative — the parent keeps only the latest
-    payload per trial, so a lost or coalesced snapshot never loses
-    information, merely staleness.
-    """
-    publisher = _publisher
-    if publisher is not None:
-        publisher(payload)

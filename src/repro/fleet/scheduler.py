@@ -186,8 +186,8 @@ def run_campaign(n: int, trial: Callable[[int], Any], *,
         metrics, recording never perturbs trial values.
     on_snapshot:
         Parent-side callback ``(index, payload)`` invoked for every
-        interim snapshot a running trial ships via
-        :func:`repro.fleet.channel.fleet_publish` — the live-telemetry
+        interim snapshot a running trial ships through the installed
+        :func:`repro.fleet.channel.publishing` callback — the live-telemetry
         channel ``repro.telemetry``'s campaign daemon exports from.
         Snapshots arrive in per-trial publish order; across trials the
         interleaving follows completion timing, so listeners should

@@ -10,13 +10,13 @@ respawned at any moment without losing campaign state.
 Wire protocol (all messages are 5-tuples on the result queue)::
 
     ("start", worker_id, index, None, None)        # about to run index
-    ("snap",  worker_id, index, payload, None)     # interim fleet_publish
+    ("snap",  worker_id, index, payload, None)     # interim snapshot
     ("ok",    worker_id, index, value, extra)      # extra: dict | None
     ("fail",  worker_id, index, kind, message)     # kind: "error" | "timeout"
     ("bye",   worker_id, None,  None, None)        # clean shutdown
 
-``"snap"`` messages are emitted whenever the running trial calls
-:func:`repro.fleet.channel.fleet_publish`; the parent forwards each to
+``"snap"`` messages are emitted whenever the running trial calls the
+installed :func:`repro.fleet.channel.publishing` callback; the parent forwards each to
 the campaign's ``on_snapshot`` callback.  They may appear any number of
 times (including zero) between a ``"start"`` and its matching
 ``"ok"``/``"fail"``.

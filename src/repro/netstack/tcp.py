@@ -27,8 +27,7 @@ from typing import Callable, Optional, Union
 
 from repro.netstack.addressing import IPv4Address
 from repro.netstack.ipv4 import PROTO_TCP
-from repro.obs.lineage import flight_recorder
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import ambient
 from repro.sim.errors import ProtocolError, SocketError
 from repro.sim.kernel import Event, Simulator
 from repro.wire import (
@@ -349,11 +348,6 @@ class TcpConnection:
     def flight_size(self) -> int:
         return (self.snd_nxt - self.snd_una) % _MOD
 
-    @property
-    def queued_bytes(self) -> int:
-        """Unsent application bytes (tunnel-latency diagnostics)."""
-        return len(self._pending)
-
     # ------------------------------------------------------------------
     # segment transmission
     # ------------------------------------------------------------------
@@ -369,11 +363,12 @@ class TcpConnection:
         )
         self.segments_sent += 1
         self.bytes_sent += len(payload)
-        m = obs_metrics()
+        instr = ambient
+        m = instr.metrics
         if m is not None:
             m.incr("tcp.segments_sent")
             m.incr("tcp.bytes_sent", len(payload))
-        rec = flight_recorder()
+        rec = instr.recorder
         if rec is not None:
             tid = rec.current()
             if tid is None:
@@ -444,7 +439,7 @@ class TcpConnection:
             return
         self.timeouts += 1
         self._consecutive_timeouts += 1
-        m = obs_metrics()
+        m = ambient.metrics
         if m is not None:
             m.incr("tcp.timeouts")
         if self._consecutive_timeouts > 15:
@@ -463,10 +458,10 @@ class TcpConnection:
     def _retransmit_front(self) -> None:
         """Resend whatever starts at snd_una (SYN, FIN, or data)."""
         self.retransmissions += 1
-        m = obs_metrics()
+        m = ambient.metrics
         if m is not None:
             m.incr("tcp.retransmits")
-        rec = flight_recorder()
+        rec = ambient.recorder
         if rec is not None and self._lineage_hint is not None:
             rec.hop("tcp", "retransmit", trace_id=self._lineage_hint,
                     host=f"{self.local_ip}:{self.local_port}",
@@ -489,10 +484,11 @@ class TcpConnection:
     def handle_segment(self, segment: TcpSegment) -> None:
         """Process one incoming segment addressed to this connection."""
         self.segments_received += 1
-        m = obs_metrics()
+        instr = ambient
+        m = instr.metrics
         if m is not None:
             m.incr("tcp.segments_received")
-        rec = flight_recorder()
+        rec = instr.recorder
         if rec is not None:
             tid = rec.current()
             if tid is not None:
@@ -584,7 +580,7 @@ class TcpConnection:
             if self._dupacks == self.DUPACK_THRESHOLD:
                 # Fast retransmit / simplified fast recovery.
                 self.fast_retransmits += 1
-                m = obs_metrics()
+                m = ambient.metrics
                 if m is not None:
                     m.incr("tcp.fast_retransmits")
                 self.ssthresh = max(self.flight_size / 2.0, 2.0 * self.mss)
@@ -665,7 +661,7 @@ class TcpConnection:
     # RTT estimation (Jacobson/Karels)
     # ------------------------------------------------------------------
     def _update_rtt(self, sample: float) -> None:
-        m = obs_metrics()
+        m = ambient.metrics
         if m is not None:
             m.add_time("tcp.rtt", sample)
         if self.srtt is None:

@@ -1,38 +1,84 @@
-"""The ambient collection context that instrumentation reports into.
+"""The ambient instrumentation record every observer is installed into.
 
-Hot-path code asks two questions, both answered here in a handful of
-machine instructions when observability is off:
+Hot-path code asks one question — what is installed? — answered by
+:data:`ambient`, a single permanent :class:`Instrumentation` record
+with five slots, each ``None`` when nothing of that kind is installed:
 
-* :func:`obs_metrics` — the active :class:`MetricsRegistry`, or ``None``
-  when collection is absent/disabled.  Call sites guard with
-  ``m = obs_metrics()`` / ``if m is not None: m.incr(...)`` so the
-  common (off) path costs one global read and one comparison.
-* :func:`active_profiler` — the active :class:`Profiler` or ``None``;
-  call sites only open a span when one is installed.
+* ``metrics`` — the enabled :class:`MetricsRegistry` of the innermost
+  :func:`collecting` block;
+* ``profiler`` — that block's :class:`Profiler` (``profile=True``);
+* ``recorder`` — the :class:`~repro.obs.lineage.FlightRecorder` of
+  :func:`~repro.obs.lineage.recording`;
+* ``wids`` — the :class:`~repro.wids.runtime.WidsWatch` of
+  :func:`~repro.wids.runtime.wids_watch`;
+* ``publisher`` — the snapshot callback of
+  :func:`~repro.fleet.channel.publishing`.
 
-A context is installed with :func:`collecting`::
+Call sites guard with ``m = ambient.metrics`` / ``if m is not None:``
+so the common (off) path costs one global read, one slot read and one
+comparison; a hot function binds ``ambient`` once and reads every slot
+it needs from the local.
+
+An installer is built on :func:`installed`::
 
     with collecting(profile=True) as col:
         result = spec.runner()          # any number of Simulators inside
     print(col.profiler.report())
     payload = col.snapshot()            # mergeable metrics dict
 
-Contexts nest (the innermost wins) and are restored on exit even when
-the body raises — including the fleet worker's SIGALRM trial timeout.
-The simulation never reads anything back out of the context, so
-entering one cannot change simulated results (the zero-perturbation
-invariant pinned by the determinism golden tests).
+Installs nest (the innermost wins) and each slot is restored on exit
+even when the body raises — including the fleet worker's SIGALRM trial
+timeout.  The simulation never reads anything back out of an observer,
+so installing one cannot change simulated results (the
+zero-perturbation invariant pinned by the determinism golden tests).
+The record is a plain module global, not a ContextVar: nothing installs
+from another thread or task, and the telemetry daemon's HTTP threads
+only read its own snapshot store.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import Profiler
 
-__all__ = ["Collection", "active_profiler", "collecting", "obs_metrics"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.lineage import FlightRecorder
+    from repro.wids.runtime import WidsWatch
+
+__all__ = ["Collection", "Instrumentation", "ambient", "collecting",
+           "installed"]
+
+
+class Instrumentation:
+    """What is installed right now: one slot per kind of observer."""
+
+    __slots__ = ("metrics", "profiler", "recorder", "wids", "publisher")
+
+    def __init__(self) -> None:
+        self.metrics: Optional[MetricsRegistry] = None
+        self.profiler: Optional[Profiler] = None
+        self.recorder: Optional[FlightRecorder] = None
+        self.wids: Optional[WidsWatch] = None
+        self.publisher: Optional[Callable[[dict], None]] = None
+
+
+ambient = Instrumentation()
+
+
+@contextmanager
+def installed(**slots: Any) -> Iterator[None]:
+    """Set the named :data:`ambient` slots for the block, then restore them."""
+    previous = {name: getattr(ambient, name) for name in slots}
+    for name, value in slots.items():
+        setattr(ambient, name, value)
+    try:
+        yield
+    finally:
+        for name, value in previous.items():
+            setattr(ambient, name, value)
 
 
 class Collection:
@@ -47,36 +93,16 @@ class Collection:
         return self.registry.snapshot()
 
 
-_active: Optional[Collection] = None
-
-
 @contextmanager
 def collecting(*, metrics: bool = True, profile: bool = False) -> Iterator[Collection]:
     """Install a fresh :class:`Collection` for the duration of the block.
 
-    ``metrics=False`` installs a *disabled* registry: instrumentation
-    still finds a context but every recording call is a no-op — the
-    "disabled" leg of the zero-perturbation golden tests.
+    ``metrics=False`` builds a *disabled* registry and leaves the
+    ``metrics`` slot ``None``: instrumentation records nothing, yet the
+    collection still snapshots a stable (empty) shape — the "disabled"
+    leg of the zero-perturbation golden tests.
     """
-    global _active
-    previous = _active
     collection = Collection(metrics=metrics, profile=profile)
-    _active = collection
-    try:
+    registry = collection.registry if metrics else None
+    with installed(metrics=registry, profiler=collection.profiler):
         yield collection
-    finally:
-        _active = previous
-
-
-def obs_metrics() -> Optional[MetricsRegistry]:
-    """The active, enabled registry — or ``None`` (record nothing)."""
-    collection = _active
-    if collection is None or not collection.registry.enabled:
-        return None
-    return collection.registry
-
-
-def active_profiler() -> Optional[Profiler]:
-    """The active profiler — or ``None`` (skip the span)."""
-    collection = _active
-    return collection.profiler if collection is not None else None

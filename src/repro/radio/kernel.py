@@ -58,7 +58,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.dot11.channels import channel_rejection_db, channels_overlap
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import ambient
 from repro.sim.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -322,7 +322,7 @@ class VectorKernel:
         return self.medium.ports[self._idx[port_id]]
 
     def _record_sizes(self) -> None:
-        m = obs_metrics()
+        m = ambient.metrics
         if m is not None:
             m.set_gauge("radio.kernel.pl_rows", len(self._pl_rows))
             m.set_gauge("radio.kernel.plans", len(self._plans))
@@ -358,7 +358,7 @@ class VectorKernel:
             self._pl_rows.pop(next(iter(self._pl_rows)))
         self._pl_rows[id(tx)] = row
         self.row_builds += 1
-        m = obs_metrics()
+        m = ambient.metrics
         if m is not None:
             m.incr("radio.kernel.row_builds")
             m.set_gauge("radio.kernel.pl_rows", len(self._pl_rows))
@@ -439,7 +439,7 @@ class VectorKernel:
             self._plans.pop(next(iter(self._plans)))
         self._plans[id(tx)] = plan
         self.plan_builds += 1
-        m = obs_metrics()
+        m = ambient.metrics
         if m is not None:
             m.incr("radio.kernel.plan_builds")
             m.set_gauge("radio.kernel.plans", len(self._plans))

@@ -28,13 +28,11 @@ from typing import Callable, Optional
 
 from repro.dot11.channels import channel_rejection_db, channels_overlap
 from repro.dot11.frames import Dot11Frame
-from repro.obs.lineage import flight_recorder
-from repro.obs.runtime import active_profiler, obs_metrics
+from repro.obs.runtime import ambient
 from repro.radio.kernel import make_kernel
 from repro.radio.propagation import FrameLossModel, LogDistancePathLoss, Position
 from repro.sim.errors import ConfigurationError
 from repro.sim.kernel import Simulator
-from repro.wids.runtime import active_wids
 
 __all__ = ["Medium", "RadioPort"]
 
@@ -230,7 +228,7 @@ class Medium:
         self.ports.append(port)
         self._kernel.on_attach(port)
         port.attach(self)
-        m = obs_metrics()
+        m = ambient.metrics
         if m is not None:
             m.set_gauge("radio.ports", len(self.ports))
         return port
@@ -243,7 +241,7 @@ class Medium:
             # Clear the back-reference so a detached port cannot keep
             # transmitting into this medium through a stale handle.
             port._medium = None
-            m = obs_metrics()
+            m = ambient.metrics
             if m is not None:
                 m.set_gauge("radio.ports", len(self.ports))
 
@@ -275,12 +273,13 @@ class Medium:
                     start = until
             if start > now:
                 start += self._rng.uniform(50e-6, 400e-6)  # DIFS + backoff slots
-        m = obs_metrics()
+        instr = ambient
+        m = instr.metrics
         if m is not None:
             m.incr("radio.transmissions")
             if start > now:
                 m.incr("radio.deferrals")
-        rec = flight_recorder()
+        rec = instr.recorder
         if rec is not None:
             if frame.trace_id is None:
                 # First transmission: open the lineage (parented to the
@@ -322,7 +321,7 @@ class Medium:
 
     def _complete(self, entry: _InFlight) -> None:
         """Deliver a finished transmission to every eligible receiver."""
-        prof = active_profiler()
+        prof = ambient.profiler
         if prof is None:
             self._fan_out(entry)
         else:
@@ -336,11 +335,12 @@ class Medium:
         # per-receiver work: no RNG has been drawn for this delivery
         # yet, so observing here cannot perturb the world (the same
         # zero-perturbation placement the determinism goldens pin).
-        wids = active_wids()
+        instr = ambient
+        wids = instr.wids
         if wids is not None:
             wids.offer(self, entry.frame, entry.channel, self.sim.now)
-        m = obs_metrics()
-        rec = flight_recorder()
+        m = instr.metrics
+        rec = instr.recorder
         tid = entry.frame.trace_id if rec is not None else None
         self._kernel.fan_out(entry, m, rec, tid)
 

@@ -96,10 +96,6 @@ class SimRandom:
         """``n`` uniformly random bytes."""
         return self._random.randbytes(n)
 
-    def mac_suffix(self) -> bytes:
-        """Three random bytes for the NIC-specific half of a MAC address."""
-        return self.bytes(3)
-
     def pick_weighted(self, items: Iterable[tuple[T, float]]) -> T:
         """Pick one item with probability proportional to its weight."""
         pairs = list(items)

@@ -12,7 +12,7 @@ the event loop.  It advances the simulator in fixed slices::
 
     while now < t_end:
         sim.run(until=min(now + snapshot_every_s, t_end))
-        tick()          # registry writes + fleet_publish, between runs
+        tick()          # registry writes + publish, between runs
 
 ``sim.run(until=...)`` composes exactly (the kernel's inclusive-``until``
 contract), and the slicing schedule is *identical whether or not a
@@ -41,8 +41,7 @@ import threading
 from typing import Optional
 
 from repro.core.scenario import build_corp_scenario
-from repro.fleet.channel import fleet_publish
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import ambient
 from repro.telemetry.sessions import OpenLoopSessions
 from repro.wids.runtime import wids_watch
 
@@ -140,7 +139,7 @@ class OpenLoopShard:
 
     def _tick(self, watch) -> None:
         """Fold WIDS state into the registry, then publish it upstream."""
-        metrics = obs_metrics()
+        metrics = ambient.metrics
         if metrics is not None:
             alerts = watch.alerts()
             emitted = metrics.counter("telemetry.alerts.emitted")
@@ -154,4 +153,6 @@ class OpenLoopShard:
             # Publish LAST: the shipped snapshot must contain every write
             # above, and on the final tick must equal the trial's own
             # end-of-run snapshot (the JSON-lines replay contract).
-            fleet_publish(metrics.snapshot())
+            publish = ambient.publisher
+            if publish is not None:
+                publish(metrics.snapshot())

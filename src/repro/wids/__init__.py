@@ -51,7 +51,7 @@ from repro.wids.evaluation import (
     evaluate_with_crossings,
     score_trajectory,
 )
-from repro.wids.runtime import WidsWatch, active_wids, wids_watch
+from repro.wids.runtime import WidsWatch, wids_watch
 
 __all__ = [
     "AdaptiveThreshold",
@@ -67,7 +67,6 @@ __all__ = [
     "SpoofVerdict",
     "WidsEngine",
     "WidsWatch",
-    "active_wids",
     "default_detectors",
     "evaluate",
     "evaluate_rescan",

@@ -34,7 +34,7 @@ from repro.dot11.capture import CapturedFrame, FrameCapture
 from repro.dot11.frames import BeaconInfo, FrameSubtype
 from repro.dot11.mac import MacAddress
 from repro.dot11.seqctl import SEQ_MODULO, SequenceCounter
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import ambient
 from repro.sim.errors import ProtocolError
 
 __all__ = [
@@ -423,10 +423,6 @@ class SpoofVerdict:
     spoofed: bool
     reason: str = ""
 
-    @property
-    def anomaly_rate(self) -> float:
-        return self.anomalies / self.frames if self.frames else 0.0
-
 
 class SeqCtlMonitor:
     """Offline/online analyser over a monitor-mode capture.
@@ -489,7 +485,7 @@ class SeqCtlMonitor:
             spoofed = True
             reason = (f"interleaved sequence streams: {anomalies} anomalous "
                       f"gaps in {len(seqs)} frames")
-        m = obs_metrics()
+        m = ambient.metrics
         if m is not None:
             m.incr("detect.analyses")
             m.incr("detect.anomalies", anomalies)

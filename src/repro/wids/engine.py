@@ -10,8 +10,8 @@ The engine is strictly observational: it never touches the simulation
 RNG, never schedules an event, and only *reads* frames, so attaching
 or detaching it cannot change simulated results (the same
 zero-perturbation discipline as :mod:`repro.obs`, pinned by the
-determinism goldens).  Metrics go to the ambient
-:func:`~repro.obs.runtime.obs_metrics` registry when one is installed:
+determinism goldens).  Metrics go to the ambient registry
+(``repro.obs.runtime.ambient.metrics``) when one is installed:
 ``wids.frames``, ``wids.evidence.<detector>``, ``wids.alerts`` and
 ``wids.alerts.<detector>``.
 """
@@ -22,7 +22,7 @@ from typing import Callable, Iterable, List, Optional
 
 from repro.dot11.capture import CapturedFrame, FrameCapture
 from repro.dot11.channels import band_of
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import ambient
 from repro.wids.alerts import Alert
 from repro.wids.correlate import AlertCorrelator, ShardedCorrelator
 from repro.wids.detectors import Detector, default_detectors
@@ -74,7 +74,7 @@ class WidsEngine:
     # ------------------------------------------------------------------
     def process(self, cap: CapturedFrame) -> None:
         self.frames_seen += 1
-        m = obs_metrics() if self.record_metrics else None
+        m = ambient.metrics if self.record_metrics else None
         if m is not None:
             m.incr("wids.frames")
         trace_id = cap.frame.trace_id

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dot11.capture import FrameCapture
 from repro.obs.metrics import CounterMetric, MetricsRegistry, TimerMetric
-from repro.obs.runtime import obs_metrics
+from repro.obs.runtime import ambient
 from repro.wids.detectors import DETECTORS, Detector
 from repro.wids.engine import WidsEngine
 
@@ -131,17 +131,17 @@ def evaluate_with_crossings(
     without re-running any world.
     """
     local = registry if registry is not None else MetricsRegistry()
-    ambient = obs_metrics()
+    shared = ambient.metrics
 
     def incr(name: str) -> None:
         local.incr(name)
-        if ambient is not None and ambient is not local:
-            ambient.incr(name)
+        if shared is not None and shared is not local:
+            shared.incr(name)
 
     def add_time(name: str, seconds: float) -> None:
         local.add_time(name, seconds)
-        if ambient is not None and ambient is not local:
-            ambient.add_time(name, seconds)
+        if shared is not None and shared is not local:
+            shared.add_time(name, seconds)
 
     crossings: Dict[str, Dict[float, Optional[float]]] = {}
     for name, cls in DETECTORS.items():
@@ -177,8 +177,8 @@ def evaluate(
     :func:`evaluate_rescan` (the differential test pins this).
 
     Writes ``wids.eval.*`` into ``registry`` (a fresh one when omitted)
-    **and** into the ambient :func:`obs_metrics` registry when one is
-    installed — the local copy keeps experiment payloads independent of
+    **and** into the ambient registry (``ambient.metrics``) when one
+    is installed — the local copy keeps experiment payloads independent of
     ambient observability state (zero-perturbation), the ambient copy
     is what the fleet ships and merges.
     """
@@ -199,17 +199,17 @@ def evaluate_rescan(
     against, not for production use.
     """
     local = registry if registry is not None else MetricsRegistry()
-    ambient = obs_metrics()
+    shared = ambient.metrics
 
     def incr(name: str) -> None:
         local.incr(name)
-        if ambient is not None and ambient is not local:
-            ambient.incr(name)
+        if shared is not None and shared is not local:
+            shared.incr(name)
 
     def add_time(name: str, seconds: float) -> None:
         local.add_time(name, seconds)
-        if ambient is not None and ambient is not local:
-            ambient.add_time(name, seconds)
+        if shared is not None and shared is not local:
+            shared.add_time(name, seconds)
 
     for name, cls in DETECTORS.items():
         for threshold in cls.SWEEP:

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.dot11.mac import MacAddress
 from repro.hosts.host import Host
 from repro.hosts.nic import WiredInterface
 from repro.netstack.ethernet import Hub, LanSegment, Switch
 from repro.sim.kernel import Simulator
+
+# Exploration stays randomized, but a falsified property prints the
+# @reproduce_failure blob that replays it.
+settings.register_profile("repro", print_blob=True)
+settings.load_profile("repro")
 
 
 @pytest.fixture

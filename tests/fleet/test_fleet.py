@@ -70,8 +70,8 @@ def traced_trial(seed):
 
 def metric_trial(seed):
     """Records seed-dependent metrics through the ambient obs context."""
-    from repro.obs.runtime import obs_metrics
-    m = obs_metrics()
+    from repro.obs.runtime import ambient
+    m = ambient.metrics
     if m is not None:
         m.incr("fleet.test.calls")
         m.incr("fleet.test.seed_sum", seed)
@@ -233,8 +233,8 @@ def test_collect_metrics_wraps_trial_outcome_trials():
 
 def lineage_trial(seed):
     """Transmits `seed % 3 + 1` frames through an ambient flight recorder."""
-    from repro.obs.lineage import flight_recorder
-    rec = flight_recorder()
+    from repro.obs.runtime import ambient
+    rec = ambient.recorder
     if rec is not None:
         for i in range(seed % 3 + 1):
             tid = rec.begin("dot11", f"host{seed}", float(i))
@@ -318,40 +318,41 @@ def test_empty_campaign():
 
 
 # ----------------------------------------------------------------------
-# interim snapshot channel (fleet_publish -> on_snapshot)
+# interim snapshot channel (ambient.publisher -> on_snapshot)
 # ----------------------------------------------------------------------
 
 def publishing_trial(seed):
     """Publishes three cumulative snapshots through the ambient channel."""
-    from repro.fleet import fleet_publish
-    from repro.obs.runtime import obs_metrics
+    from repro.obs.runtime import ambient
 
-    m = obs_metrics()
+    m = ambient.metrics
     for step in range(3):
         if m is not None:
             m.incr("fleet.test.progress")
-        fleet_publish({"seed": seed, "step": step,
-                       "metrics": m.snapshot() if m is not None else {}})
+        if ambient.publisher is not None:
+            ambient.publisher({"seed": seed, "step": step,
+                               "metrics": m.snapshot() if m is not None else {}})
     return float(seed)
 
 
 def test_fleet_publish_is_noop_without_publisher():
     # Direct call, no campaign: publishing must be invisible.
+    from repro.obs.runtime import ambient
+    assert ambient.publisher is None
     assert publishing_trial(7) == 7.0
 
 
 def test_publishing_context_nests_and_restores():
-    from repro.fleet import fleet_publish, publishing
+    from repro.fleet import publishing
+    from repro.obs.runtime import ambient
 
     outer, inner = [], []
     with publishing(outer.append):
-        fleet_publish({"at": "outer"})
+        assert ambient.publisher == outer.append
         with publishing(inner.append):
-            fleet_publish({"at": "inner"})
-        fleet_publish({"at": "outer-again"})
-    fleet_publish({"at": "nowhere"})
-    assert [p["at"] for p in outer] == ["outer", "outer-again"]
-    assert [p["at"] for p in inner] == ["inner"]
+            assert ambient.publisher == inner.append
+        assert ambient.publisher == outer.append
+    assert ambient.publisher is None
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -407,9 +408,9 @@ def test_snapshots_without_listener_are_discarded():
 
 def rich_trial(seed):
     """Metrics + trace in one trial, for payload round-trips."""
-    from repro.obs.runtime import obs_metrics
+    from repro.obs.runtime import ambient
 
-    m = obs_metrics()
+    m = ambient.metrics
     if m is not None:
         m.incr("fleet.test.calls")
         m.observe("fleet.test.hist", float(seed % 7), lo=0.0, hi=8.0, bins=4)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.obs.lineage import (FlightRecorder, Hop, Lineage, flight_recorder,
-                               recording)
+from repro.obs.lineage import FlightRecorder, Hop, Lineage, recording
+from repro.obs.runtime import ambient
 
 
 # ----------------------------------------------------------------------
@@ -230,24 +230,24 @@ def test_lineage_dict_roundtrip_preserves_hops_dropped():
 
 
 # ----------------------------------------------------------------------
-# the ambient global
+# the ambient recorder slot
 # ----------------------------------------------------------------------
 
 def test_recording_installs_and_restores_nested():
-    assert flight_recorder() is None
+    assert ambient.recorder is None
     with recording(capacity=8) as outer:
-        assert flight_recorder() is outer
+        assert ambient.recorder is outer
         with recording(capacity=4) as inner:
-            assert flight_recorder() is inner
-        assert flight_recorder() is outer
-    assert flight_recorder() is None
+            assert ambient.recorder is inner
+        assert ambient.recorder is outer
+    assert ambient.recorder is None
 
 
 def test_recording_restores_on_exception():
     with pytest.raises(RuntimeError):
         with recording():
             raise RuntimeError("boom")
-    assert flight_recorder() is None
+    assert ambient.recorder is None
 
 
 def test_simulator_registers_its_trace_with_the_recorder():

@@ -171,19 +171,15 @@ def test_histogram_invalid_bounds():
         HistogramMetric(0.0, 1.0, 0)
 
 
-def test_histogram_matches_sim_stats_binning():
-    # Same semantics as repro.sim.stats.Histogram: [lo, hi) bins with
-    # separate under/overflow — pinned against the reference directly.
-    from repro.sim.stats import Histogram as RefHistogram
-    xs = [0.5, 1.5, 1.7, 9.9, -1.0, 10.0, 25.0, 3.3333, 6.999999]
-    ref = RefHistogram(0.0, 10.0, 10)
-    mine = HistogramMetric(0.0, 10.0, 10)
-    for x in xs:
-        ref.add(x)
-        mine.observe(x)
-    assert mine.counts == ref.counts
-    assert mine.underflow == ref.underflow
-    assert mine.overflow == ref.overflow
+def test_histogram_binning_and_out_of_range():
+    # [lo, hi) bins: hi itself overflows, values below lo underflow.
+    h = HistogramMetric(0.0, 10.0, 10)
+    for x in [0.5, 1.5, 1.7, 9.9, -1.0, 10.0, 25.0, 3.3333, 6.999999]:
+        h.observe(x)
+    assert h.counts == [1, 2, 0, 1, 0, 0, 1, 0, 0, 1]
+    assert h.underflow == 1
+    assert h.overflow == 2
+    assert h.total == 9
 
 
 def test_merge_returns_self_for_chaining():
