@@ -26,7 +26,7 @@ from repro.crypto.fms import FmsAttack, FmsSample, is_weak_iv
 from repro.crypto.hmac import hmac, hmac_md5, hmac_sha1
 from repro.crypto.keystore import KeyStore
 from repro.crypto.md5 import md5, md5_hexdigest
-from repro.crypto.rc4 import RC4, rc4_keystream
+from repro.crypto.rc4 import RC4, rc4_crypt, rc4_keystream
 from repro.crypto.sha1 import sha1, sha1_hexdigest
 from repro.crypto.tkip import MichaelMic, TkipSession
 from repro.crypto.wep import WepError, WepKey, wep_decrypt, wep_encrypt
@@ -49,6 +49,7 @@ __all__ = [
     "is_weak_iv",
     "md5",
     "md5_hexdigest",
+    "rc4_crypt",
     "rc4_keystream",
     "sha1",
     "sha1_hexdigest",

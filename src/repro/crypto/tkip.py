@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.crypto.rc4 import RC4
+from repro.crypto.rc4 import rc4_crypt
 from repro.crypto.sha1 import sha1
 from repro.sim.errors import IntegrityError
 
@@ -123,7 +123,7 @@ class TkipSession:
         self.tsc += 1
         tsc_bytes = struct.pack("<Q", self.tsc)[:6]
         mic = self.michael.compute(plaintext)
-        body = RC4(self._packet_key(self.tsc)).crypt(plaintext + mic)
+        body = rc4_crypt(self._packet_key(self.tsc), plaintext + mic)
         return tsc_bytes + body
 
     def decapsulate(self, body: bytes) -> bytes:
@@ -133,7 +133,7 @@ class TkipSession:
         tsc = int.from_bytes(body[:6] + b"\x00\x00", "little")
         if tsc <= self.replay_floor:
             raise TkipError(f"TKIP replay: TSC {tsc} <= {self.replay_floor}")
-        decrypted = RC4(self._packet_key(tsc)).crypt(body[6:])
+        decrypted = rc4_crypt(self._packet_key(tsc), body[6:])
         plaintext, mic = decrypted[:-8], decrypted[-8:]
         if self.michael.compute(plaintext) != mic:
             raise TkipError("Michael MIC failure")

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.crc import crc32
-from repro.crypto.rc4 import RC4
+from repro.crypto.rc4 import rc4_crypt
 from repro.sim.errors import IntegrityError
 
 __all__ = ["WepError", "WepKey", "IvGenerator", "wep_encrypt", "wep_decrypt"]
@@ -114,8 +114,8 @@ def wep_encrypt(key: WepKey, iv: bytes, plaintext: bytes, key_id: int = 0) -> by
     if not 0 <= key_id <= 3:
         raise ValueError("WEP KeyID is 2 bits")
     icv = crc32(plaintext).to_bytes(4, "little")
-    cipher = RC4(key.per_packet_key(iv))
-    return iv + bytes([key_id << 6]) + cipher.crypt(plaintext + icv)
+    return (iv + bytes([key_id << 6])
+            + rc4_crypt(key.per_packet_key(iv), plaintext + icv))
 
 
 def wep_decrypt(key: WepKey, body: bytes) -> bytes:
@@ -129,8 +129,7 @@ def wep_decrypt(key: WepKey, body: bytes) -> bytes:
     if len(body) < HEADER_LEN + ICV_LEN:
         raise WepError("WEP body too short")
     iv = body[:IV_LEN]
-    cipher = RC4(key.per_packet_key(iv))
-    decrypted = cipher.crypt(body[HEADER_LEN:])
+    decrypted = rc4_crypt(key.per_packet_key(iv), body[HEADER_LEN:])
     plaintext, icv = decrypted[:-ICV_LEN], decrypted[-ICV_LEN:]
     if crc32(plaintext).to_bytes(4, "little") != icv:
         raise WepError("WEP ICV check failed (wrong key or tampered frame)")

@@ -32,6 +32,7 @@ from repro.dot11.ies import (
     ssid_ie,
 )
 from repro.dot11.mac import BROADCAST, MacAddress
+from repro.obs.metrics import memo_counts
 from repro.obs.runtime import ambient
 from repro.sim.errors import ProtocolError
 from repro.wire import EncodeCache, HeaderSpec, fixed_bytes, u8, u16
@@ -210,6 +211,10 @@ class Dot11Frame:
     #: serialized).
     _wire_cache: Optional[EncodeCache] = field(
         default=None, init=False, repr=False, compare=False)
+    #: First successful :meth:`parse_beacon` result, invalidated the same
+    #: way as ``_wire_cache``: every copy starts cold.
+    _beacon_cache: Optional["BeaconInfo"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # identity helpers
@@ -358,7 +363,22 @@ class Dot11Frame:
     # management-body parsers
     # ------------------------------------------------------------------
     def parse_beacon(self) -> "BeaconInfo":
-        """Parse a beacon or probe-response body."""
+        """Parse a beacon or probe-response body.
+
+        The frame's receivers (stations, the sniffer, every WIDS
+        detector) share one frame object, so the first parse is kept
+        and handed to the rest.  A :class:`ProtocolError` is not kept:
+        it is raised again on every call.
+        """
+        info = self._beacon_cache
+        if ambient.metrics is not None:
+            memo_counts["codec.decode_cache.hits" if info is not None
+                        else "codec.decode_cache.misses"] += 1
+        if info is None:
+            info = self._beacon_cache = self._decode_beacon()
+        return info
+
+    def _decode_beacon(self) -> "BeaconInfo":
         if self.subtype not in (FrameSubtype.BEACON, FrameSubtype.PROBE_RESP):
             raise ProtocolError("not a beacon/probe-response frame")
         if len(self.body) < 12:

@@ -29,7 +29,9 @@ class MacAddress:
     True
     """
 
-    __slots__ = ("_bytes",)
+    #: ``_text`` memoizes :meth:`__str__`; it is set lazily (and never
+    #: pickled, see :meth:`__reduce__`).
+    __slots__ = ("_bytes", "_text")
 
     def __init__(self, value: "bytes | str | MacAddress") -> None:
         if isinstance(value, MacAddress):
@@ -81,7 +83,12 @@ class MacAddress:
         return bool(self._bytes[0] & 0x02)
 
     def __str__(self) -> str:
-        return ":".join(f"{b:02x}" for b in self._bytes)
+        try:
+            return self._text
+        except AttributeError:
+            text = self._bytes.hex(":")
+            object.__setattr__(self, "_text", text)
+            return text
 
     def __repr__(self) -> str:
         return f"MacAddress('{self}')"
@@ -98,6 +105,11 @@ class MacAddress:
 
     def __hash__(self) -> int:
         return hash(self._bytes)
+
+    def __reduce__(self):
+        # Rebuild from the bytes: slot-state restore would go through the
+        # blocked __setattr__, and the text memo need not travel.
+        return (MacAddress, (self._bytes,))
 
 
 BROADCAST = MacAddress(b"\xff" * 6)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 __all__ = [
@@ -31,7 +32,18 @@ __all__ = [
     "HistogramMetric",
     "MetricsRegistry",
     "TimerMetric",
+    "memo_counts",
 ]
+
+#: Lookups of the decode-once and key-once memos
+#: (``codec.decode_cache.{hits,misses}``,
+#: ``crypto.keystream_cache.{hits,misses}``), one increment per lookup,
+#: made only while a registry is installed.  They are kept here, in the
+#: process, rather than in that registry: the keystream memo outlives a
+#: world, so its hit rate depends on what the process ran before, and a
+#: registry snapshot must depend on the world alone (serial == parallel;
+#: a shard's published snapshots are digest-pinned).
+memo_counts: Counter = Counter()
 
 
 class CounterMetric:

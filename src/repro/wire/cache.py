@@ -19,6 +19,15 @@ derivative (``with_body``, ``decremented`` …) starts cold.  Code that
 mutates a serialized field of a frame in place — there is none in the
 repo — must call :meth:`EncodeCache.clear` (or drop the cache object)
 before the next encode.
+
+The frame's beacon parse follows the same contract (decode once: a
+second ``init=False`` field on the frame, see
+``Dot11Frame.parse_beacon``), and the per-packet RC4 keystream is kept
+by key in a bounded module-level memo (key once:
+``repro.crypto.rc4.rc4_crypt``).  Their hit/miss tallies,
+``codec.decode_cache.*`` and ``crypto.keystream_cache.*``, go to
+``repro.obs.metrics.memo_counts`` rather than the registry, because the
+keystream memo outlives a world.
 """
 
 from __future__ import annotations

@@ -296,3 +296,40 @@ def test_fig2_world_matches_committed_digest():
                       sort_keys=True, default=str).encode()
     assert counters["events_dispatched"] == golden["events_dispatched"]
     assert hashlib.sha256(blob).hexdigest() == golden["sha256"]
+
+
+def test_warm_memos_leave_the_fig2_world_unchanged():
+    """Fig. 2, then an E-WIDS world, then Fig. 2 again, in one process.
+
+    The RC4 keystream memo is module state: the repeat runs with it warm
+    from both earlier worlds (seed 11's own keys included), so every
+    per-packet key it uses may be served from memory.  Events, alerts
+    and outcome must not move, and the committed digest must still hold.
+    """
+    import hashlib
+    import json
+    from pathlib import Path
+
+    from repro.crypto import rc4
+    from repro.wids.experiment import SLOPPY_BEACON_JITTER_S, _run_world
+
+    golden = json.loads(
+        (Path(__file__).parent / "fig2_golden.json").read_text())
+
+    def fig2():
+        categories, counters = _run_fig2_world(seed=golden["seed"])
+        _, _, engine = _run_wids_sniffer_world(golden["seed"], "attached")
+        blob = json.dumps({"categories": categories, "counters": counters},
+                          sort_keys=True, default=str).encode()
+        return (hashlib.sha256(blob).hexdigest(), counters,
+                [a.to_dict() for a in engine.alerts])
+
+    first = fig2()
+    naive = _run_world(5, rogue=True, jitter_s=SLOPPY_BEACON_JITTER_S)
+    assert naive["compromised"] and naive["alert_count"] > 0
+    assert rc4._keystreams  # the repeat starts with a warm memo
+    again = fig2()
+    assert again == first
+    assert again[0] == golden["sha256"]
+    assert again[1]["events_dispatched"] == golden["events_dispatched"]
+    assert again[2]  # the rogue was seen
