@@ -15,6 +15,12 @@ The paper's attack and defense both hinge on *real* cryptography:
   a MAC: classic finite-field Diffie–Hellman, RC4, and HMAC-SHA1
   (RFC 2104 / FIPS 180-1), all implemented here.
 
+CRC-32, MD5, SHA-1 and HMAC exist twice: a from-scratch reference
+(``crc32_reference``, ``MD5``, ``SHA1``, ``hmac``) that the tests pin to
+the published vectors, and the one-shot functions the simulation calls,
+which compute the same digests in C through ``zlib``, ``hashlib`` and
+``hmac``.
+
 None of this is intended for production use — it exists so that the
 paper's experiments run on genuine cryptographic behaviour rather than
 boolean flags.

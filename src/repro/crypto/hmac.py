@@ -1,17 +1,23 @@
-"""HMAC (RFC 2104) over the local MD5 and SHA-1 implementations.
+"""HMAC (RFC 2104): a from-scratch reference and the C fast path.
 
 The VPN transport authenticates every record with HMAC-SHA1; a rogue
 AP that flips bits in the ciphertext (trivially possible against a
 bare stream cipher) is caught here — the mechanism behind the paper's
 claim that a VPN protects even over a fully hostile wireless segment.
+
+:func:`hmac_sha1`, :func:`hmac_md5` and :func:`constant_time_equal` are
+the standard library's ``hmac`` in C; the simulation calls the first and
+the last.  The generic :func:`hmac` over the local
+:class:`~repro.crypto.md5.MD5` and :class:`~repro.crypto.sha1.SHA1` is
+the reference; nothing in the simulation calls it, and the test suite
+pins it to the RFC 2202 vectors and to the fast functions on random
+inputs.
 """
 
 from __future__ import annotations
 
+import hmac as _stdhmac
 from typing import Callable, Protocol
-
-from repro.crypto.md5 import MD5
-from repro.crypto.sha1 import SHA1
 
 __all__ = ["hmac", "hmac_md5", "hmac_sha1", "constant_time_equal"]
 
@@ -44,19 +50,17 @@ def hmac(key: bytes, message: bytes, hash_factory: Callable[[], _Hash]) -> bytes
 
 def hmac_sha1(key: bytes, message: bytes) -> bytes:
     """HMAC-SHA1, the VPN record MAC."""
-    return hmac(key, message, SHA1)
+    return _stdhmac.digest(key, message, "sha1")
 
 
 def hmac_md5(key: bytes, message: bytes) -> bytes:
-    """HMAC-MD5, used by the 802.1X-style EAP exchange."""
-    return hmac(key, message, MD5)
+    """HMAC-MD5, pinned to RFC 2202 and kept for API completeness."""
+    return _stdhmac.digest(key, message, "md5")
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:
-    """Compare MACs without early exit (mirrors real verifier behaviour)."""
-    if len(a) != len(b):
-        return False
-    acc = 0
-    for x, y in zip(a, b):
-        acc |= x ^ y
-    return acc == 0
+    """Compare MACs in time independent of where they differ.
+
+    Any bytes-like arguments; unequal lengths compare ``False``.
+    """
+    return _stdhmac.compare_digest(a, b)

@@ -1,13 +1,19 @@
-"""MD5 message digest (RFC 1321), implemented from scratch.
+"""MD5 message digest (RFC 1321): a from-scratch reference and the C fast path.
 
 The §4.1 experiment rewrites a download page's published ``MD5SUM`` so
 the victim's integrity check passes on the trojaned binary.  For that
 demonstration to be honest, the digests must be real: the browser model
-computes MD5 over the actual downloaded bytes with this implementation.
+computes MD5 over the actual downloaded bytes.
+
+:func:`md5` and :func:`md5_hexdigest`, which the simulation calls, are
+``hashlib.md5`` in C.  The :class:`MD5` class is the round-by-round
+reference; nothing in the simulation calls it, and the test suite pins
+it to the RFC 1321 vectors and to :func:`md5` on random inputs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 __all__ = ["md5", "md5_hexdigest", "MD5"]
@@ -115,11 +121,13 @@ class MD5:
         return clone
 
 
+# ``usedforsecurity=False``: the simulated md5sum and CHAP protect nothing
+# in the host process, so a FIPS-mode Python still runs the worlds.
 def md5(data: bytes) -> bytes:
     """One-shot MD5 digest of ``data``."""
-    return MD5(data).digest()
+    return hashlib.md5(data, usedforsecurity=False).digest()
 
 
 def md5_hexdigest(data: bytes) -> str:
     """One-shot MD5 hex digest — the format published on download pages."""
-    return MD5(data).hexdigest()
+    return hashlib.md5(data, usedforsecurity=False).hexdigest()

@@ -1,13 +1,19 @@
-"""SHA-1 (FIPS 180-1), implemented from scratch.
+"""SHA-1 (FIPS 180-1): a from-scratch reference and the C fast path.
 
 Used as the hash inside HMAC-SHA1, the integrity MAC of the SSH-like
 VPN transport (:mod:`repro.defense.vpn`) — the piece that makes the
 paper's countermeasure actually detect in-flight tampering by a rogue
-access point.
+access point — and in the WPA, TKIP, DH and key-store derivations.
+
+:func:`sha1` and :func:`sha1_hexdigest`, which the simulation calls, are
+``hashlib.sha1`` in C.  The :class:`SHA1` class is the round-by-round
+reference; nothing in the simulation calls it, and the test suite pins
+it to the FIPS 180-1 vectors and to :func:`sha1` on random inputs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 __all__ = ["sha1", "sha1_hexdigest", "SHA1"]
@@ -82,9 +88,9 @@ class SHA1:
 
 def sha1(data: bytes) -> bytes:
     """One-shot SHA-1 digest."""
-    return SHA1(data).digest()
+    return hashlib.sha1(data).digest()
 
 
 def sha1_hexdigest(data: bytes) -> str:
     """One-shot SHA-1 hex digest."""
-    return SHA1(data).hexdigest()
+    return hashlib.sha1(data).hexdigest()

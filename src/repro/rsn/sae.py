@@ -150,7 +150,7 @@ class SaeParty:
             self._kck,
             b"sae-confirm" + self._peer_commit + self._own_commit,
         )[:_CONFIRM_LEN]
-        if len(raw) == _CONFIRM_LEN and constant_time_equal(bytes(raw), expected):
+        if len(raw) == _CONFIRM_LEN and constant_time_equal(raw, expected):
             self.confirmed = True
             return True
         return False

@@ -1,28 +1,36 @@
-"""CRC-32 against zlib and its linearity (the WEP ICV flaw)."""
+"""CRC-32: the zlib fast path against the from-scratch reference, and linearity.
 
-import zlib
+Each test that pins a value runs over both implementations (``IMPLS``), so
+the reference is held to the published check value, not only to zlib.
+"""
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.crypto.crc import crc32, crc32_combine_xor, crc32_table
+from repro.crypto.crc import crc32, crc32_combine_xor, crc32_reference, crc32_table
+
+IMPLS = (("zlib", crc32), ("reference", crc32_reference))
 
 
 @given(st.binary(max_size=2048))
 def test_matches_zlib(data):
-    assert crc32(data) == zlib.crc32(data)
+    assert crc32_reference(data) == crc32(data)
 
 
 def test_known_values():
-    assert crc32(b"") == 0
-    assert crc32(b"123456789") == 0xCBF43926  # the standard check value
+    for name, crc in IMPLS:
+        assert crc(b"") == 0, name
+        assert crc(b"123456789") == 0xCBF43926, name  # the standard check value
 
 
-def test_incremental_computation():
-    whole = crc32(b"hello world")
-    # zlib-style chaining
-    part = crc32(b" world", crc32(b"hello"))
-    assert whole == part
+@given(st.binary(max_size=512), st.integers(min_value=0))
+@example(b"hello world", 5)
+def test_incremental_computation(data, cut):
+    """zlib-style chaining: crc(b, crc(a)) == crc(a + b) at any split."""
+    cut %= len(data) + 1
+    whole = crc32(data)
+    for name, crc in IMPLS:
+        assert crc(data[cut:], crc(data[:cut])) == whole, name
 
 
 def test_table_shape():
@@ -42,4 +50,5 @@ def test_linearity_enables_wep_bit_flipping(a, b):
     n = min(len(a), len(b))
     a, b = a[:n], b[:n]
     xored = bytes(x ^ y for x, y in zip(a, b))
-    assert crc32(xored) == crc32_combine_xor(crc32(a), crc32(b), crc32(b"\x00" * n))
+    for name, crc in IMPLS:
+        assert crc(xored) == crc32_combine_xor(crc(a), crc(b), crc(b"\x00" * n)), name

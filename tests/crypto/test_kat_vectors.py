@@ -3,9 +3,9 @@
 Two fixture files under ``tests/crypto/fixtures/``:
 
 - ``hmac_rfc2202.json`` — the complete RFC 2202 vector sets for
-  HMAC-MD5 and HMAC-SHA-1 (seven cases each).  These pin the repo's
-  from-scratch RFC 2104 implementation to the published answers, not
-  merely to the stdlib.
+  HMAC-MD5 and HMAC-SHA-1 (seven cases each).  These pin both the
+  repo's from-scratch RFC 2104 reference and the stdlib functions the
+  simulation calls to the published answers.
 - ``wpa_kdf_kat.json`` — pinned outputs of the repo's labelled-SHA1
   WPA KDF.  The KDF is a documented simplification (see the
   ``wpa_kdf`` module docstring) so there is no external standard to
@@ -20,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.crypto.hmac import hmac_md5, hmac_sha1
+from repro.crypto.hmac import hmac, hmac_md5, hmac_sha1
+from repro.crypto.md5 import MD5
+from repro.crypto.sha1 import SHA1
 from repro.crypto.wpa_kdf import derive_ptk, psk_from_passphrase
 from repro.dot11.mac import MacAddress
 
@@ -28,19 +30,24 @@ FIXTURES = Path(__file__).parent / "fixtures"
 RFC2202 = json.loads((FIXTURES / "hmac_rfc2202.json").read_text())
 WPA_KDF = json.loads((FIXTURES / "wpa_kdf_kat.json").read_text())
 
+HMAC_MD5_IMPLS = (("stdlib", hmac_md5), ("reference", lambda k, m: hmac(k, m, MD5)))
+HMAC_SHA1_IMPLS = (("stdlib", hmac_sha1), ("reference", lambda k, m: hmac(k, m, SHA1)))
+
 
 @pytest.mark.parametrize("case", RFC2202["hmac_md5"],
                          ids=lambda c: c["name"])
 def test_rfc2202_hmac_md5(case):
-    got = hmac_md5(bytes.fromhex(case["key"]), bytes.fromhex(case["data"]))
-    assert got.hex() == case["digest"]
+    key, data = bytes.fromhex(case["key"]), bytes.fromhex(case["data"])
+    for name, mac in HMAC_MD5_IMPLS:
+        assert mac(key, data).hex() == case["digest"], name
 
 
 @pytest.mark.parametrize("case", RFC2202["hmac_sha1"],
                          ids=lambda c: c["name"])
 def test_rfc2202_hmac_sha1(case):
-    got = hmac_sha1(bytes.fromhex(case["key"]), bytes.fromhex(case["data"]))
-    assert got.hex() == case["digest"]
+    key, data = bytes.fromhex(case["key"]), bytes.fromhex(case["data"])
+    for name, mac in HMAC_SHA1_IMPLS:
+        assert mac(key, data).hex() == case["digest"], name
 
 
 def test_rfc2202_fixture_is_complete():
