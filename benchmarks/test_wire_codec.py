@@ -1,4 +1,4 @@
-"""Wire-codec performance: encode caching and ``codec.frame.*`` spans.
+"""Wire-codec performance: encode caching and per-call codec timings.
 
 Engineering telemetry for the ``repro.wire`` migration, not paper
 reproduction.  Three claims are measured and asserted:
@@ -9,9 +9,8 @@ reproduction.  Three claims are measured and asserted:
   than a cold encode;
 * the cache hit rate in a realistic fan-out pattern is high, read from
   the ``codec.encode_cache.*`` counters;
-* ``codec.frame.encode`` profiler spans show the cached encodes — the
-  per-call span is kept on the cache-hit path precisely so the speedup
-  is visible in the profile.
+* per-call ``codec.frame.encode`` / ``codec.frame.decode`` timings
+  show the cached encodes next to full decodes.
 
 Run with::
 
@@ -103,26 +102,22 @@ def test_with_body_invalidates_the_cache():
     assert snap["codec.encode_cache.misses"]["value"] == 2
 
 
-def test_codec_frame_spans_show_cached_calls():
-    """Profiler keeps per-call spans; cache hits appear as faster spans."""
-    with collecting(profile=True) as col:
-        frame = _fresh_data_frame()
-        raw = frame.to_bytes()
-        for _ in range(99):
-            frame.to_bytes()
-        for _ in range(50):
-            Dot11Frame.from_bytes(raw)
-    prof = col.profiler
-    assert prof.count("codec.frame.encode") == 100
-    assert prof.count("codec.frame.decode") == 50
-    mean_encode_us = prof.mean_s("codec.frame.encode") * 1e6
-    mean_decode_us = prof.mean_s("codec.frame.decode") * 1e6
-    record_fields("wire", "codec.frame.encode",
-                  calls=prof.count("codec.frame.encode"),
-                  mean_us=round(mean_encode_us, 2), cached="99%")
-    record_fields("wire", "codec.frame.decode",
-                  calls=prof.count("codec.frame.decode"),
-                  mean_us=round(mean_decode_us, 2))
+def test_codec_frame_timings_show_cached_calls():
+    """Per-call codec timings; cache hits make the mean encode cheap."""
+    frame = _fresh_data_frame()
+    t0 = time.perf_counter()
+    raw = frame.to_bytes()
+    for _ in range(99):
+        assert frame.to_bytes() is raw
+    encode_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for _ in range(50):
+        Dot11Frame.from_bytes(raw)
+    decode_s = time.perf_counter() - t0
+    record_fields("wire", "codec.frame.encode", calls=100,
+                  mean_us=round(encode_s / 100 * 1e6, 2), cached="99%")
+    record_fields("wire", "codec.frame.decode", calls=50,
+                  mean_us=round(decode_s / 50 * 1e6, 2))
 
 
 def test_netstack_encode_throughput(benchmark):

@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from repro.obs.runtime import ambient
-
 __all__ = ["FmsSample", "FmsAttack", "is_weak_iv", "weak_iv_for"]
 
 
@@ -138,14 +136,6 @@ class FmsAttack:
         """
         if len(known_prefix) != a:
             raise ValueError("known_prefix must contain exactly the first a bytes")
-        prof = ambient.profiler
-        if prof is None:
-            return self._votes_for_byte(a, known_prefix, use_numpy)
-        with prof.span("crypto.fms"):
-            return self._votes_for_byte(a, known_prefix, use_numpy)
-
-    def _votes_for_byte(self, a: int, known_prefix: bytes,
-                        use_numpy: Optional[bool]) -> list[int]:
         bucket = self._buckets[a]
         if use_numpy is None:
             from repro.crypto.fms_fast import MIN_SAMPLES_FOR_NUMPY

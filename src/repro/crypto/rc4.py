@@ -94,13 +94,6 @@ class RC4:
 
     def crypt(self, data: bytes) -> bytes:
         """XOR ``data`` with the next keystream bytes (encrypt == decrypt)."""
-        prof = ambient.profiler
-        if prof is None:
-            return self._crypt(data)
-        with prof.span("crypto.rc4"):
-            return self._crypt(data)
-
-    def _crypt(self, data: bytes) -> bytes:
         g = self._gen
         return bytes(b ^ next(g) for b in data)
 
@@ -113,14 +106,6 @@ def rc4_crypt(key: bytes, data: bytes) -> bytes:
     pure function of the key, so the ones used recently are kept
     (:data:`KEYSTREAM_MEMO_SIZE`) for the other end of the packet.
     """
-    prof = ambient.profiler
-    if prof is None:
-        return _rc4_crypt(key, data)
-    with prof.span("crypto.rc4"):
-        return _rc4_crypt(key, data)
-
-
-def _rc4_crypt(key: bytes, data: bytes) -> bytes:
     key = bytes(key)
     n = len(data)
     cached = _keystreams.get(key)

@@ -249,13 +249,6 @@ class Dot11Frame:
     # serialization
     # ------------------------------------------------------------------
     def to_bytes(self, with_fcs: bool = True) -> bytes:
-        prof = ambient.profiler
-        if prof is None:
-            return self._encode(with_fcs)
-        with prof.span("codec.frame.encode"):
-            return self._encode(with_fcs)
-
-    def _encode(self, with_fcs: bool) -> bytes:
         cache = self._wire_cache
         if cache is None:
             cache = self._wire_cache = EncodeCache()
@@ -296,14 +289,6 @@ class Dot11Frame:
     @classmethod
     def from_bytes(cls, raw: "bytes | bytearray | memoryview",
                    with_fcs: bool = True) -> "Dot11Frame":
-        prof = ambient.profiler
-        if prof is None:
-            return cls._decode(raw, with_fcs)
-        with prof.span("codec.frame.decode"):
-            return cls._decode(raw, with_fcs)
-
-    @classmethod
-    def _decode(cls, raw: "bytes | bytearray | memoryview", with_fcs: bool) -> "Dot11Frame":
         instr = ambient
         m = instr.metrics
         if m is not None:

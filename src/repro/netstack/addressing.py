@@ -99,7 +99,7 @@ class IPv4Address:
 class Network:
     """A CIDR network, e.g. ``Network("10.0.0.0/24")``."""
 
-    __slots__ = ("address", "prefix_len", "_netmask")
+    __slots__ = ("address", "prefix_len", "_netmask", "_broadcast")
 
     def __init__(self, cidr: "str | Network", prefix_len: int | None = None) -> None:
         if isinstance(cidr, Network):
@@ -117,6 +117,8 @@ class Network:
         object.__setattr__(self, "prefix_len", prefix_len)
         object.__setattr__(self, "_netmask", mask)
         object.__setattr__(self, "address", IPv4Address(int(address) & mask))
+        object.__setattr__(self, "_broadcast", IPv4Address(
+            self.address._value | (~mask & 0xFFFFFFFF)))
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Network is immutable")
@@ -127,10 +129,12 @@ class Network:
 
     @property
     def broadcast(self) -> IPv4Address:
-        return IPv4Address(int(self.address) | (~self._netmask & 0xFFFFFFFF))
+        return self._broadcast
 
-    def __contains__(self, ip: "IPv4Address | str") -> bool:
-        return (int(IPv4Address(ip)) & self._netmask) == int(self.address)
+    def __contains__(self, ip: "IPv4Address | str | int | bytes") -> bool:
+        if not isinstance(ip, IPv4Address):
+            ip = IPv4Address(ip)  # str, int or bytes; ValueError / TypeError
+        return (ip._value & self._netmask) == self.address._value
 
     def hosts(self) -> Iterator[IPv4Address]:
         """Usable host addresses (network and broadcast excluded for /0../30)."""

@@ -64,7 +64,10 @@ class PacketCapture:
     def add(self, captured: CapturedPacket) -> None:
         self.packets.append(captured)
         if self.capacity is not None and len(self.packets) > self.capacity:
-            del self.packets[: self.capacity // 2]
+            # drop the oldest half, and always enough to restore
+            # ``len(packets) <= capacity`` (``capacity // 2`` is 0 at 1)
+            drop = max(len(self.packets) - self.capacity, self.capacity // 2)
+            del self.packets[:drop]
         for tap in self._taps:
             tap(captured)
 

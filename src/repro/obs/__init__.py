@@ -1,4 +1,4 @@
-"""Simulation-wide observability: metrics, profiling spans, tracing, export.
+"""Simulation-wide observability: metrics, profiling, tracing, export.
 
 Four pieces (see DESIGN.md §8–§9):
 
@@ -6,16 +6,16 @@ Four pieces (see DESIGN.md §8–§9):
   of mergeable counters/gauges/timers/histograms, instrumented at the
   hot points of the radio, netstack, dot11, hosts, attack, and defense
   layers;
-* :mod:`repro.obs.profiler` — wall-clock :class:`Profiler` spans around
-  kernel event dispatch and the known hot paths (radio fan-out,
-  RC4/FMS, the frame codec);
+* :mod:`repro.obs.profiler` — :func:`profile_call`, which runs a
+  callable under ``cProfile`` and reports per-layer self time (one
+  :class:`Profiler` row per ``repro`` package, plus ``other`` and
+  ``untimed``) that sums to the call's wall time;
 * :mod:`repro.obs.runtime` — the one :data:`ambient` record whose
-  slots hold whatever is installed (metrics, profiler, recorder, WIDS
-  watch, snapshot publisher), and the :func:`collecting` context that
-  turns metrics and profiling on.  With an empty slot every hook
-  short-circuits, and the hard invariant holds: simulated results are
-  bit-for-bit identical with observability enabled, disabled, or
-  absent.
+  slots hold whatever is installed (metrics, recorder, WIDS watch,
+  snapshot publisher), and the :func:`collecting` context that turns
+  metrics on.  With an empty slot every hook short-circuits, and the
+  hard invariant holds: simulated results are bit-for-bit identical
+  with observability enabled, disabled, or absent.
 * :mod:`repro.obs.lineage` + :mod:`repro.obs.export` — the causal
   frame-lineage :class:`FlightRecorder` (per-frame ``trace_id``, hop
   records, parent/child span links, last-N ring buffer) installed with
@@ -33,7 +33,7 @@ from repro.obs.export import (LINKTYPE_IEEE802_11, chrome_trace_dict,
 from repro.obs.lineage import FlightRecorder, Hop, Lineage, recording
 from repro.obs.metrics import (CounterMetric, GaugeMetric, HistogramMetric,
                                MetricsRegistry, TimerMetric)
-from repro.obs.profiler import Profiler
+from repro.obs.profiler import Profiler, profile_call
 from repro.obs.runtime import Collection, ambient, collecting
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "chrome_trace_dict",
     "collecting",
     "pcap_bytes",
+    "profile_call",
     "recording",
     "write_chrome_trace",
     "write_pcap",

@@ -134,9 +134,7 @@ class GaugeMetric:
 class TimerMetric:
     """Accumulated durations: count, total, min, max.
 
-    Used both for simulated-time durations (e.g. per-connection RTT
-    samples) and wall-clock spans exported from a
-    :class:`~repro.obs.profiler.Profiler`.
+    Used for simulated-time durations, e.g. per-connection RTT samples.
     """
 
     kind = "timer"

@@ -2,11 +2,10 @@
 
 Hot-path code asks one question — what is installed? — answered by
 :data:`ambient`, a single permanent :class:`Instrumentation` record
-with five slots, each ``None`` when nothing of that kind is installed:
+with four slots, each ``None`` when nothing of that kind is installed:
 
 * ``metrics`` — the enabled :class:`MetricsRegistry` of the innermost
   :func:`collecting` block;
-* ``profiler`` — that block's :class:`Profiler` (``profile=True``);
 * ``recorder`` — the :class:`~repro.obs.lineage.FlightRecorder` of
   :func:`~repro.obs.lineage.recording`;
 * ``wids`` — the :class:`~repro.wids.runtime.WidsWatch` of
@@ -21,11 +20,12 @@ it needs from the local.
 
 An installer is built on :func:`installed`::
 
-    with collecting(profile=True) as col:
+    with collecting() as col:
         result = spec.runner()          # any number of Simulators inside
-    print(col.profiler.report())
     payload = col.snapshot()            # mergeable metrics dict
 
+Wall-clock profiling needs no slot: :func:`~repro.obs.profiler.profile_call`
+runs any such block under ``cProfile`` (``python -m repro profile``).
 Installs nest (the innermost wins) and each slot is restored on exit
 even when the body raises — including the fleet worker's SIGALRM trial
 timeout.  The simulation never reads anything back out of an observer,
@@ -42,7 +42,6 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import Profiler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.lineage import FlightRecorder
@@ -55,11 +54,10 @@ __all__ = ["Collection", "Instrumentation", "ambient", "collecting",
 class Instrumentation:
     """What is installed right now: one slot per kind of observer."""
 
-    __slots__ = ("metrics", "profiler", "recorder", "wids", "publisher")
+    __slots__ = ("metrics", "recorder", "wids", "publisher")
 
     def __init__(self) -> None:
         self.metrics: Optional[MetricsRegistry] = None
-        self.profiler: Optional[Profiler] = None
         self.recorder: Optional[FlightRecorder] = None
         self.wids: Optional[WidsWatch] = None
         self.publisher: Optional[Callable[[dict], None]] = None
@@ -82,11 +80,10 @@ def installed(**slots: Any) -> Iterator[None]:
 
 
 class Collection:
-    """One observability session: a registry plus an optional profiler."""
+    """One observability session: a metrics registry."""
 
-    def __init__(self, *, metrics: bool = True, profile: bool = False) -> None:
+    def __init__(self, *, metrics: bool = True) -> None:
         self.registry = MetricsRegistry(enabled=metrics)
-        self.profiler: Optional[Profiler] = Profiler() if profile else None
 
     def snapshot(self) -> dict:
         """The registry's mergeable snapshot (see ``MetricsRegistry``)."""
@@ -94,7 +91,7 @@ class Collection:
 
 
 @contextmanager
-def collecting(*, metrics: bool = True, profile: bool = False) -> Iterator[Collection]:
+def collecting(*, metrics: bool = True) -> Iterator[Collection]:
     """Install a fresh :class:`Collection` for the duration of the block.
 
     ``metrics=False`` builds a *disabled* registry and leaves the
@@ -102,7 +99,6 @@ def collecting(*, metrics: bool = True, profile: bool = False) -> Iterator[Colle
     collection still snapshots a stable (empty) shape — the "disabled"
     leg of the zero-perturbation golden tests.
     """
-    collection = Collection(metrics=metrics, profile=profile)
-    registry = collection.registry if metrics else None
-    with installed(metrics=registry, profiler=collection.profiler):
+    collection = Collection(metrics=metrics)
+    with installed(metrics=collection.registry if metrics else None):
         yield collection

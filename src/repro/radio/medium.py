@@ -311,7 +311,7 @@ class Medium:
         if self.collisions:
             self._mark_collisions(entry)
         self._inflight.append(entry)
-        self.sim.schedule(duration, self._complete, entry)
+        self.sim.schedule(duration, self._fan_out, entry)
 
     def _mark_collisions(self, new: _InFlight) -> None:
         """Resolve time-overlap between ``new`` and frames already in the air."""
@@ -319,16 +319,8 @@ class Medium:
         if self._inflight:
             self._kernel.mark_collisions(new, self._inflight)
 
-    def _complete(self, entry: _InFlight) -> None:
-        """Deliver a finished transmission to every eligible receiver."""
-        prof = ambient.profiler
-        if prof is None:
-            self._fan_out(entry)
-        else:
-            with prof.span("radio.fanout"):
-                self._fan_out(entry)
-
     def _fan_out(self, entry: _InFlight) -> None:
+        """Deliver a finished transmission to every eligible receiver."""
         if entry in self._inflight:
             self._inflight.remove(entry)
         # Offer the frame to the ambient WIDS watch *before* any

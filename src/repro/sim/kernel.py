@@ -30,20 +30,6 @@ from repro.sim.trace import Trace
 __all__ = ["Event", "ScheduleError", "Simulator"]
 
 
-def _dispatch_category(fn: Callable[..., Any]) -> str:
-    """Profiling category for an event callback: ``kernel.<module>``.
-
-    Grouping by the callback's defining module gives the per-subsystem
-    dispatch breakdown (``kernel.radio.medium``, ``kernel.netstack.tcp``,
-    ...) without requiring events to carry labels.
-    """
-    fn = getattr(fn, "__func__", fn)  # unwrap bound methods
-    module = getattr(fn, "__module__", None) or "unknown"
-    if module.startswith("repro."):
-        module = module[len("repro."):]
-    return "kernel." + module
-
-
 class ScheduleError(SimulationError):
     """An event was scheduled in the past or on a finished simulator."""
 
@@ -241,12 +227,7 @@ class Simulator:
                 raise SimulationError("event queue corrupted: time went backwards")
             self._now = ev.time
             self._events_dispatched += 1
-            prof = ambient.profiler
-            if prof is None:
-                ev.fn(*ev.args, **ev.kwargs)
-            else:
-                with prof.span(_dispatch_category(ev.fn)):
-                    ev.fn(*ev.args, **ev.kwargs)
+            ev.fn(*ev.args, **ev.kwargs)
             return True
         return False
 

@@ -1,6 +1,7 @@
 """The `python -m repro` CLI and the experiment registry."""
 
 import json
+import math
 
 import pytest
 
@@ -112,10 +113,12 @@ def test_cli_profile_prints_breakdown_and_metrics(capsys):
     assert main(["profile", "FIG1"]) == 0
     out = capsys.readouterr().out
     assert "profiling FIG1" in out
-    # the per-category wall-clock breakdown table
-    assert "category" in out and "calls" in out
-    assert "total_ms" in out and "share" in out
-    assert "kernel." in out  # event-dispatch spans by module
+    # the per-layer self-time table, the unattributed rest last
+    assert "layer" in out and "calls" in out
+    assert "self_ms" in out and "share" in out
+    table = out.split("\n\n")[1].splitlines()
+    layers = [line.split()[0] for line in table[1:]]
+    assert layers[-1] == "untimed" and {"sim", "radio", "dot11"} <= set(layers)
     # the metrics registry listing
     assert "counter" in out
 
@@ -131,9 +134,14 @@ def test_cli_profile_json_snapshot(tmp_path, capsys):
     payload = json.loads(out_file.read_text())
     assert payload["experiment"] == "FIG1"
     assert payload["elapsed_s"] > 0
-    assert any(cat.startswith("kernel.") for cat in payload["profile"])
-    for acc in payload["profile"].values():
-        assert set(acc) == {"count", "total_s", "min_s", "max_s"}
+    rows = payload["profile"]
+    for row in rows:
+        assert set(row) == {"layer", "calls", "self_s", "share"}
+        assert row["self_s"] >= 0.0
+    layers = [row["layer"] for row in rows]
+    assert layers[-1] == "untimed" and {"sim", "radio", "dot11"} <= set(layers)
+    assert math.isclose(sum(row["self_s"] for row in rows),
+                        payload["elapsed_s"], rel_tol=1e-9)
     for metric in payload["metrics"].values():
         assert metric["kind"] in {"counter", "gauge", "timer", "histogram"}
 

@@ -4,8 +4,8 @@ The whole reproduction rests on one property: a simulated world is a
 pure function of its seed.  These tests pin that down at three levels —
 the full FIG2 download-MITM world (trace-for-trace), the campaign
 layer (serial and parallel sweeps must agree bit-for-bit), and the
-observability layer (enabling metrics/profiling must not change any
-simulated result: the zero-perturbation invariant).
+observability layer (enabling metrics or running under the profiler
+must not change any simulated result: the zero-perturbation invariant).
 """
 
 import pytest
@@ -15,7 +15,7 @@ from repro.core.campaign import run_trials
 from repro.core.registry import SeededExperiment, get_experiment
 from repro.core.scenario import build_corp_scenario
 from repro.fleet import run_campaign
-from repro.obs import collecting
+from repro.obs import collecting, profile_call
 from repro.obs.lineage import recording
 from repro.radio.propagation import Position
 from repro.wids import Scorecard, WidsEngine, wids_watch
@@ -98,8 +98,8 @@ def test_fig2_campaign_identical_serial_vs_parallel():
 def test_experiment_payload_identical_with_obs_on_off_absent(exp_id):
     runner = get_experiment(exp_id).runner
     absent = runner()  # no context installed at all
-    with collecting(metrics=True, profile=True):
-        enabled = runner()
+    with collecting(metrics=True):
+        enabled, _ = profile_call(runner)
     with collecting(metrics=False):
         disabled = runner()
     assert enabled == absent
@@ -108,14 +108,15 @@ def test_experiment_payload_identical_with_obs_on_off_absent(exp_id):
 
 def test_fig2_trace_contents_identical_with_obs_enabled():
     categories_off, counters_off = _run_fig2_world(seed=11)
-    with collecting(metrics=True, profile=True) as col:
-        categories_on, counters_on = _run_fig2_world(seed=11)
+    with collecting(metrics=True) as col:
+        (categories_on, counters_on), prof = profile_call(
+            lambda: _run_fig2_world(seed=11))
     assert categories_on == categories_off  # full event-category sequence
     assert counters_on == counters_off
     # and the run actually recorded something — the invariant is
     # "observation changes nothing", not "nothing was observed"
     assert col.registry.value("radio.deliveries") > 0
-    assert col.profiler.count("radio.fanout") > 0
+    assert prof.total_s("radio") > 0
 
 
 def test_fig2_world_identical_with_flight_recorder_on_off_absent():

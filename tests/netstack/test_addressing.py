@@ -104,3 +104,29 @@ def test_network_equality_hash():
     assert Network("10.0.0.0/24") == Network("10.0.0.99/24")
     assert len({Network("10.0.0.0/24"), Network("10.0.0.0/24")}) == 1
     assert Network("10.0.0.0/24") != Network("10.0.0.0/25")
+
+
+@given(st.integers(min_value=0, max_value=0xFFFFFFFF),
+       st.integers(min_value=0, max_value=32),
+       st.integers(min_value=0, max_value=0xFFFFFFFF))
+def test_membership_and_broadcast_match_mask_arithmetic(base, prefix, addr):
+    net = Network(IPv4Address(base), prefix)
+    mask = (0xFFFFFFFF << (32 - prefix)) & 0xFFFFFFFF
+    inside = (addr & mask) == int(net.address)
+    ip = IPv4Address(addr)
+    assert (ip in net) is inside
+    assert (str(ip) in net) is inside
+    assert (addr in net) is inside
+    assert (ip.bytes in net) is inside
+    assert int(net.broadcast) == int(net.address) | (~mask & 0xFFFFFFFF)
+    assert net.broadcast is net.broadcast  # computed once
+
+
+def test_membership_rejects_bad_input():
+    net = Network("10.0.0.0/24")
+    with pytest.raises(ValueError):
+        "10.0.0" in net
+    with pytest.raises(ValueError):
+        2**32 in net
+    with pytest.raises(TypeError):
+        1.5 in net

@@ -134,7 +134,10 @@ def test_payload_stream_reassembles_in_seq_order():
 
 
 def test_capture_capacity():
-    cap = PacketCapture(capacity=4)
-    for i in range(10):
-        cap.add(_tcp_cap(float(i), IP_A, IP_B, 1, 2, b"x"))
-    assert len(cap) <= 5
+    # capacity 1 once evicted nothing (``capacity // 2 == 0``) and grew
+    for capacity in (1, 2, 4):
+        cap = PacketCapture(capacity=capacity)
+        for i in range(10):
+            cap.add(_tcp_cap(float(i), IP_A, IP_B, 1, 2, b"x"))
+            assert len(cap) <= capacity
+        assert cap.packets[-1].time == 9.0  # the newest is kept

@@ -1,108 +1,37 @@
-"""Profiler: span accounting, merge law, breakdown report."""
+"""Profiler: per-layer self time from cProfile, rows that sum to wall time."""
 
 import math
+import zlib
 
-from hypothesis import given
-from hypothesis import strategies as st
-
-from repro.obs.profiler import Profiler
-
-
-def _split(xs, cuts):
-    bounds = sorted(min(c, len(xs)) for c in cuts)
-    parts, start = [], 0
-    for b in bounds + [len(xs)]:
-        parts.append(xs[start:b])
-        start = b
-    return parts
+from repro.crypto.crc import crc32
+from repro.obs.profiler import OTHER, UNTIMED, Profiler, profile_call
 
 
-def test_span_records_category():
-    p = Profiler()
-    with p.span("kernel.test"):
-        pass
-    assert p.count("kernel.test") == 1
-    assert p.total_s("kernel.test") >= 0.0
-    assert p.categories() == ["kernel.test"]
-
-
-def test_span_records_even_when_body_raises():
-    p = Profiler()
-    try:
-        with p.span("boom"):
-            raise RuntimeError("body failed")
-    except RuntimeError:
-        pass
-    assert p.count("boom") == 1
-
-
-def test_record_accumulates_count_total_min_max():
+def test_record_accumulates_count_and_total():
     p = Profiler()
     for s in [0.2, 0.1, 0.4]:
         p.record("cat", s)
-    assert p.count("cat") == 3
-    assert math.isclose(p.total_s("cat"), 0.7)
-    assert math.isclose(p.mean_s("cat"), 0.7 / 3)
-    assert p._acc["cat"][2] == 0.1  # min
-    assert p._acc["cat"][3] == 0.4  # max
+    p.record("cat", 0.3, calls=5)
+    [(category, calls, total)] = list(p)
+    assert (category, calls) == ("cat", 8)
+    assert math.isclose(total, 1.0) and math.isclose(p.total_s("cat"), 1.0)
 
 
 def test_unknown_category_queries():
     p = Profiler()
-    assert p.count("nope") == 0
     assert p.total_s("nope") == 0.0
-    assert math.isnan(p.mean_s("nope"))
-    assert len(p) == 0
-
-
-@given(st.lists(st.tuples(st.sampled_from("abc"),
-                          st.floats(min_value=1e-6, max_value=10.0)),
-                max_size=200),
-       st.lists(st.integers(min_value=0, max_value=200), max_size=4))
-def test_merge_equals_single_pass(spans, cuts):
-    whole = Profiler()
-    for cat, s in spans:
-        whole.record(cat, s)
-    merged = Profiler()
-    for part in _split(spans, cuts):
-        partial = Profiler()
-        for cat, s in part:
-            partial.record(cat, s)
-        merged.merge(partial)
-    assert merged.categories() == whole.categories()
-    for cat in whole.categories():
-        assert merged.count(cat) == whole.count(cat)
-        assert math.isclose(merged.total_s(cat), whole.total_s(cat),
-                            rel_tol=1e-9, abs_tol=1e-12)
-        assert merged._acc[cat][2] == whole._acc[cat][2]
-        assert merged._acc[cat][3] == whole._acc[cat][3]
-
-
-def test_merge_copies_new_categories():
-    src = Profiler()
-    src.record("only.src", 1.0)
-    dst = Profiler()
-    dst.merge(src)
-    src.record("only.src", 1.0)  # must not reach into dst
-    assert dst.count("only.src") == 1
-    assert dst.merge(Profiler()) is dst
-
-
-def test_to_dict_from_dict_roundtrip():
-    p = Profiler()
-    p.record("a", 0.5)
-    p.record("a", 1.5)
-    p.record("b", 0.25)
-    clone = Profiler.from_dict(p.to_dict())
-    assert clone.to_dict() == p.to_dict()
+    assert list(p) == []
 
 
 def test_iter_orders_by_total_descending():
     p = Profiler()
+    p.record(UNTIMED, 9.0)
+    p.record(OTHER, 8.0)
     p.record("small", 0.1)
     p.record("big", 5.0)
     p.record("mid", 1.0)
-    assert [cat for cat, _, _ in p] == ["big", "mid", "small"]
+    # layers largest first; ``other`` and ``untimed`` always last
+    assert [cat for cat, _, _ in p] == ["big", "mid", "small", OTHER, UNTIMED]
 
 
 def test_breakdown_shares_sum_to_100():
@@ -110,17 +39,48 @@ def test_breakdown_shares_sum_to_100():
     p.record("a", 3.0)
     p.record("b", 1.0)
     rows = p.breakdown()
-    assert rows[0]["category"] == "a"
-    assert rows[0]["share"] == "75.0%"
-    assert rows[1]["share"] == "25.0%"
-    total = sum(float(r["share"].rstrip("%")) for r in rows)
-    assert math.isclose(total, 100.0)
+    assert rows[0] == {"layer": "a", "calls": 1, "self_s": 3.0, "share": 0.75}
+    assert rows[1]["share"] == 0.25
+    assert math.isclose(sum(r["share"] for r in rows), 1.0)
 
 
 def test_report_empty_and_populated():
-    assert Profiler().report() == "(no spans recorded)"
+    assert Profiler().report() == "(nothing profiled)"
     p = Profiler()
-    p.record("kernel.radio.medium", 0.5)
+    p.record("radio", 0.5)
     out = p.report()
-    assert "kernel.radio.medium" in out
-    assert "calls" in out and "total_ms" in out and "share" in out
+    assert "radio" in out and "500.000" in out
+    assert "layer" in out and "calls" in out and "self_ms" in out
+    assert "share" in out and "100.0%" in out
+
+
+def _checksum_loop():
+    # a repro.crypto function calling the zlib builtin, many times
+    data = bytes(range(256)) * 64
+    return [crc32(data) for _ in range(2000)][-1]
+
+
+def test_builtin_time_is_charged_to_the_calling_layer():
+    result, prof = profile_call(_checksum_loop)
+    assert result == zlib.crc32(bytes(range(256)) * 64)
+    rows = {cat: total for cat, _, total in prof}
+    calls = {cat: n for cat, n, _ in prof}
+    # zlib.crc32's self time is crypto's: no row is named after a builtin
+    assert set(rows) <= {"crypto", OTHER, UNTIMED}
+    assert calls["crypto"] >= 2 * 2000  # crc32 + zlib.crc32 per call
+    assert rows["crypto"] > rows.get(OTHER, 0.0)
+    assert all(total >= 0.0 for total in rows.values())
+    assert math.isclose(sum(rows.values()), prof.wall_s, rel_tol=1e-9)
+
+
+def test_rows_sum_to_wall_time_for_a_world():
+    from repro.core.registry import get_experiment
+
+    _, prof = profile_call(get_experiment("FIG1").runner)
+    rows = prof.breakdown()
+    assert rows[-1]["layer"] == UNTIMED
+    assert all(r["self_s"] >= 0.0 for r in rows)
+    assert math.isclose(sum(r["self_s"] for r in rows), prof.wall_s,
+                        rel_tol=1e-9)
+    layers = {r["layer"] for r in rows}
+    assert {"sim", "radio", "dot11"} <= layers

@@ -11,7 +11,7 @@ from repro.obs.lineage import recording
 from repro.obs.runtime import Collection, ambient, collecting
 from repro.wids.runtime import wids_watch
 
-SLOTS = ("metrics", "profiler", "recorder", "wids", "publisher")
+SLOTS = ("metrics", "recorder", "wids", "publisher")
 
 
 def _slots():
@@ -19,22 +19,14 @@ def _slots():
 
 
 def test_no_context_means_none():
-    assert ambient.metrics is None
-    assert ambient.profiler is None
+    assert all(value is None for value in _slots().values())
+    assert type(ambient).__slots__ == SLOTS
 
 
 def test_collecting_installs_and_restores():
     with collecting() as col:
         assert ambient.metrics is col.registry
-        assert ambient.profiler is None  # profile off by default
     assert ambient.metrics is None
-
-
-def test_collecting_profile_enables_profiler():
-    with collecting(profile=True) as col:
-        assert ambient.profiler is col.profiler
-        assert col.profiler is not None
-    assert ambient.profiler is None
 
 
 def test_disabled_metrics_hide_the_registry():
@@ -60,24 +52,20 @@ def test_context_restored_when_body_raises():
         with collecting():
             raise RuntimeError("trial died")
     assert ambient.metrics is None
-    assert ambient.profiler is None
 
 
 def test_recording_through_the_ambient_context():
-    with collecting(profile=True) as col:
+    with collecting() as col:
         m = ambient.metrics
         m.incr("radio.deliveries", 3)
-        with ambient.profiler.span("radio.fanout"):
-            pass
     snap = col.snapshot()
     assert snap["radio.deliveries"]["value"] == 3
-    assert col.profiler.count("radio.fanout") == 1
 
 
 def test_collection_defaults():
     col = Collection()
     assert col.registry.enabled
-    assert col.profiler is None
+    assert not Collection(metrics=False).registry.enabled
 
 
 # ----------------------------------------------------------------------
@@ -90,8 +78,7 @@ def _sink(payload):
 
 # Each installer paired with the slots its yielded object must fill.
 INSTALLERS = (
-    (lambda: collecting(profile=True),
-     lambda col: {"metrics": col.registry, "profiler": col.profiler}),
+    (lambda: collecting(), lambda col: {"metrics": col.registry}),
     (lambda: recording(capacity=4), lambda rec: {"recorder": rec}),
     (lambda: wids_watch(), lambda watch: {"wids": watch}),
     (lambda: publishing(_sink), lambda _: {"publisher": _sink}),
@@ -110,7 +97,7 @@ class _Boom(Exception):
 def test_nested_installers_restore_every_slot(order, depth, preinstalled,
                                                raises):
     """Any nesting of the installers, returning or raising, restores all
-    five slots and shows the innermost object of each kind inside."""
+    four slots and shows the innermost object of each kind inside."""
     with ExitStack() as outer:
         if preinstalled:
             # Installs already in force that the nested block must hand
